@@ -155,10 +155,11 @@ func recoveryBarriers() []recoveryBarrier {
 
 // recoveryInstances is how many independently seeded fault plans each
 // (topology, level) row gets. Whether a column wedges into its step
-// limit depends on where the plan's crash lands, so a single plan per
-// row made the work of a pass swing by ±13% from seed to seed; three
-// instances average that out.
-const recoveryInstances = 3
+// limit depends on where the plan's crash lands: a wedged tas-deadline
+// or central-barrier cell costs 15–25 times a normal one. Over ten
+// seeds, the simulated work of a pass spread −9%…+4% around its median
+// with three plans per row and −6%…+4% with six.
+const recoveryInstances = 6
 
 // recoveryCells drives the FT3/FT4 columns through fault plans
 // generated from the workload seed.

@@ -39,19 +39,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench: --trace takes 0 or 1")
 		os.Exit(2)
 	}
-	// A simulated run is sequential by construction — the goroutine baton
-	// lets one simulated processor run at a time — so the simulator
-	// workloads run on one scheduler thread, where a baton handoff is a
-	// goroutine switch rather than a cross-thread wake-up, and where a
-	// busy neighbour on the other CPU disturbs the figures least. The
-	// gate workload is real concurrent code and gets two threads (never
-	// more than the host has). The harness tables keep their parallel
+	// Every workload runs on one scheduler thread. A simulated run is
+	// sequential by construction — the goroutine baton lets one
+	// simulated processor run at a time — so there a baton handoff is a
+	// goroutine switch rather than a cross-thread wake-up. The gate's
+	// goroutines and its load generator share the thread too: with two
+	// threads its ok-op p50 followed the speed of cross-thread wake-ups
+	// on a shared host, 6–13 ms from run to run of the same code, with
+	// one 3.7–3.9 ms (NOTES.md). The harness tables keep their parallel
 	// workers (harnessProcs).
-	if *workload == "gate-open-loop" {
-		runtime.GOMAXPROCS(harnessProcs())
-	} else {
-		runtime.GOMAXPROCS(1)
-	}
+	runtime.GOMAXPROCS(1)
 
 	if *recordTo != "" {
 		if err := record(*recordTo); err != nil {
@@ -66,7 +63,8 @@ func main() {
 	}
 }
 
-// harnessProcs is the scheduler thread count for concurrent work.
+// harnessProcs is the scheduler thread count of the harness tables,
+// whose workers run cells in parallel.
 func harnessProcs() int { return min(2, runtime.NumCPU()) }
 
 // outDir receives each run's report and spans, inside the checkout.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
@@ -120,12 +121,34 @@ func TestCorruptReferenceFails(t *testing.T) {
 	ref := digests(t, cells)
 	ref[1] = "corrupt"
 	r := newRunner(cells, new(machine.Pool), ref)
-	p := r.measure(0, leg{})[0]
+	p := r.measure(0, 1, leg{})[0]
 	if r.attempted != len(cells) || r.failed != 1 {
 		t.Errorf("attempted %d failed %d, want %d and 1", r.attempted, r.failed, len(cells))
 	}
 	if p.okCells() != len(cells)-1 {
 		t.Errorf("%d correct cells, want %d", p.okCells(), len(cells)-1)
+	}
+}
+
+// TestRunsAreScaledByProbes checks that every measured run is scaled
+// by the probes around it: a probe before the loop and one after every
+// run, and reference time equal to host time times a positive factor.
+func TestRunsAreScaledByProbes(t *testing.T) {
+	cells := smallCells(1)
+	p := newRunner(cells, new(machine.Pool), nil).measure(0, 1, leg{})[0]
+	if len(p.trips) != p.runs+1 {
+		t.Errorf("%d probes for %d runs, want one more than runs", len(p.trips), p.runs)
+	}
+	for i := range cells {
+		for k, raw := range p.raw[i] {
+			f := float64(p.wall[i][k]) / float64(raw)
+			if raw <= 0 || !(f > 0) || math.IsInf(f, 0) {
+				t.Errorf("%s run %d: host %v, reference %v", cells[i].id, k, raw, p.wall[i][k])
+			}
+		}
+	}
+	if got := scale(refRoundTrip, refRoundTrip); got != 1 {
+		t.Errorf("scale at the reference round trip is %v, want 1", got)
 	}
 }
 

@@ -94,13 +94,15 @@ type report struct {
 	Cells   []cellRecord      `json:"cells,omitempty"`
 }
 
-// cellRecord is one cell of an untraced run: every run's wall time, the
-// simulated work of one run, and the work rate at the median run.
+// cellRecord is one cell of an untraced run: every run's wall time (in
+// reference and in host time), the simulated work of one run, and the
+// work rate at the median run.
 type cellRecord struct {
-	ID         string    `json:"id"`
-	WallsMs    []float64 `json:"walls_ms"`
-	SimOps     uint64    `json:"sim_ops"`
-	SimOpsPerS float64   `json:"sim_ops_per_s"`
+	ID          string    `json:"id"`
+	WallsMs     []float64 `json:"walls_ms"`
+	HostWallsMs []float64 `json:"host_walls_ms"`
+	SimOps      uint64    `json:"sim_ops"`
+	SimOpsPerS  float64   `json:"sim_ops_per_s"`
 }
 
 func newReport() *report {

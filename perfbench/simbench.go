@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -15,8 +16,11 @@ import (
 type cellRun struct {
 	digest    string
 	stats     machine.Stats
-	wall, cpu time.Duration
-	err       error
+	wall, cpu time.Duration // host time
+	// scale converts its host times to reference time (probe.go); 1
+	// when the run was not bracketed by probes.
+	scale float64
+	err   error
 }
 
 // runner runs cells one at a time (closed loop, one cell in flight)
@@ -46,7 +50,7 @@ func (r *runner) exec(i int, cfg machine.Config, tr *tracer, group string) cellR
 	call := tr.begin(c.layer, group, root)
 	c0, t0 := cpuTime(), time.Now()
 	res, st, err := c.run(r.pool, cfg)
-	e := cellRun{stats: st, wall: time.Since(t0), err: err}
+	e := cellRun{stats: st, wall: time.Since(t0), scale: 1, err: err}
 	e.cpu = cpuTime() - c0
 	tr.end(call)
 	if err == nil {
@@ -101,25 +105,31 @@ func (r *runner) checkTwin(i int, twin string, e cellRun) bool {
 	return false
 }
 
-// pass holds the samples of a measured loop over the cell list.
+// pass holds the samples of a measured loop over the cell list. Its
+// wall and cpu times are reference times (probe.go); raw keeps the host
+// wall times.
 type pass struct {
-	wall, cpu [][]time.Duration // per cell, per run
-	stats     []machine.Stats   // per cell, from its first run
-	bad       []bool            // per cell: some run failed its check
-	runs      int
-	elapsed   time.Duration
+	wall, cpu, raw [][]time.Duration // per cell, per run
+	stats          []machine.Stats   // per cell, from its first run
+	bad            []bool            // per cell: some run failed its check
+	runs           int
+	elapsed        time.Duration
+	// trips are the probe round trips taken during the loop.
+	trips []time.Duration
 }
 
 func newPass(n int) *pass {
-	return &pass{wall: make([][]time.Duration, n), cpu: make([][]time.Duration, n), stats: make([]machine.Stats, n), bad: make([]bool, n)}
+	return &pass{wall: make([][]time.Duration, n), cpu: make([][]time.Duration, n), raw: make([][]time.Duration, n),
+		stats: make([]machine.Stats, n), bad: make([]bool, n)}
 }
 
 func (p *pass) add(i int, e cellRun, ok bool) {
 	if len(p.wall[i]) == 0 {
 		p.stats[i] = e.stats
 	}
-	p.wall[i] = append(p.wall[i], e.wall)
-	p.cpu[i] = append(p.cpu[i], e.cpu)
+	p.wall[i] = append(p.wall[i], scaled(e.wall, e.scale))
+	p.cpu[i] = append(p.cpu[i], scaled(e.cpu, e.scale))
+	p.raw[i] = append(p.raw[i], e.wall)
 	p.runs++
 	p.bad[i] = p.bad[i] || !ok
 }
@@ -144,6 +154,15 @@ func (p *pass) passWall() time.Duration {
 	var s time.Duration
 	for i := range p.wall {
 		s += p.cellWall(i)
+	}
+	return s
+}
+
+// rawPassWall is passWall in host time.
+func (p *pass) rawPassWall() time.Duration {
+	var s time.Duration
+	for i := range p.raw {
+		s += medianDur(p.raw[i])
 	}
 	return s
 }
@@ -186,19 +205,28 @@ type leg struct {
 	tr   *tracer
 }
 
-// measure loops over the cells, whole list at least once, until budget
-// has elapsed, running every leg of a cell back to back so that legs
-// compare within the same stretch of host time. It returns one pass per
-// leg. Default-path legs are checked against the reference, twins
-// against the default path.
-func (r *runner) measure(budget time.Duration, legs ...leg) []*pass {
+// measure loops over the cells, running every leg of a cell back to
+// back so that legs compare within the same stretch of host time. It
+// makes whole passes over the list, as many as fit budget at the pace
+// of the first but at least minPasses, so every cell gets the same
+// number of runs and none is cut off at the end of the budget. A host
+// probe runs before the loop and after every cell run, and each run is
+// scaled by the two probes around it. It returns one pass per leg.
+// Default-path legs are checked against the reference, twins against
+// the default path.
+func (r *runner) measure(budget time.Duration, minPasses int, legs ...leg) []*pass {
 	n := len(r.cells)
 	passes := make([]*pass, len(legs))
 	for j := range passes {
 		passes[j] = newPass(n)
 	}
+	probe := newHostProbe()
+	defer probe.stop()
+	last := probe.roundTrip()
+	trips := []time.Duration{last}
 	start := time.Now()
-	for k := 0; k < n || time.Since(start) < budget; k++ {
+	total := n // cell runs to make; whole passes, fixed after the first
+	for k := 0; k < total; k++ {
 		i := k % n
 		for j, l := range legs {
 			cfg := r.cells[i].cfg
@@ -209,6 +237,10 @@ func (r *runner) measure(budget time.Duration, legs ...leg) []*pass {
 				group += "/" + l.flag
 			}
 			e := r.exec(i, cfg, l.tr, group)
+			next := probe.roundTrip()
+			e.scale = scale(last, next)
+			last = next
+			trips = append(trips, next)
 			if l.flag != "" {
 				ok = r.checkTwin(i, l.flag, e)
 			} else {
@@ -216,9 +248,13 @@ func (r *runner) measure(budget time.Duration, legs ...leg) []*pass {
 			}
 			passes[j].add(i, e, ok)
 		}
+		if k == n-1 {
+			total = n * max(minPasses, int(math.Round(float64(budget)/float64(time.Since(start)))))
+		}
 	}
 	for _, p := range passes {
 		p.elapsed = time.Since(start)
+		p.trips = trips
 	}
 	return passes
 }
@@ -249,13 +285,17 @@ func (r *runner) crossCheck() (string, error) {
 
 // setupSim builds the workload's inputs and a machine pool warmed by
 // resetting its machine to every cell's configuration once, setupReps
-// times; it returns the last set-up and the median set-up time.
+// times; it returns the last set-up and the median set-up time, each
+// set-up scaled by the host probes around it.
 func setupSim(w simWorkload, seed uint64, tr *tracer) ([]cell, *machine.Pool, float64, error) {
 	var (
 		cells []cell
 		pool  *machine.Pool
 		times []float64
 	)
+	probe := newHostProbe()
+	defer probe.stop()
+	last := probe.roundTrip()
 	for rep := 0; rep < setupReps; rep++ {
 		runtime.GC()
 		t0 := time.Now()
@@ -268,7 +308,10 @@ func setupSim(w simWorkload, seed uint64, tr *tracer) ([]cell, *machine.Pool, fl
 			}
 			pool.Put(m)
 		}
-		times = append(times, time.Since(t0).Seconds())
+		t := time.Since(t0)
+		next := probe.roundTrip()
+		times = append(times, scaled(t, scale(last, next)).Seconds())
+		last = next
 	}
 	return cells, pool, median(times), nil
 }
@@ -295,7 +338,9 @@ func runSim(name string, seed uint64, budget time.Duration, traced bool, rep *re
 		rep.infof("correctness: %d cells against the digests recorded for seed %d", len(cells), seed)
 	}
 	if !traced {
-		p := r.measure(budget, leg{})[0]
+		// Two passes at least, so that each cell's median rests on two
+		// runs even where one pass fills the budget (recovery).
+		p := r.measure(budget, 2, leg{})[0]
 		rep.set("setup_s", setup)
 		rep.set("wall_s", p.passWall().Seconds())
 		rep.set("cpu_s", p.passCPU().Seconds())
@@ -307,7 +352,10 @@ func runSim(name string, seed uint64, budget time.Duration, traced bool, rep *re
 		}
 		rep.set("lat_p50_ms", quantile(lat, 0.5))
 		rep.set("lat_p99_ms", quantile(lat, 0.99))
-		rep.infof("wall_s, cpu_s: one pass, the sum over %d cells of each cell's median; %d cell runs in %.2fs", len(cells), p.runs, p.elapsed.Seconds())
+		rep.infof("wall_s, cpu_s: one pass, the sum over %d cells of each cell's median; %d cell runs (%d whole passes) in %.2fs", len(cells), p.runs, p.runs/len(cells), p.elapsed.Seconds())
+		trip := medianDur(p.trips)
+		rep.infof("every time above is at the reference round trip of %v (probe.go); the host's median round trip was %v over %d probes (%.3fx the reference); one pass in host time: %.4fs",
+			refRoundTrip, trip, len(p.trips), float64(trip)/float64(refRoundTrip), p.rawPassWall().Seconds())
 		rep.infof("goodput_per_s: cells whose every run was correct, per second of one pass; lat_*: quantiles of the per-cell medians, n=%d cells", len(cells))
 		if ref == nil {
 			note, err := r.crossCheck()
@@ -345,7 +393,7 @@ func tracedSim(r *runner, w simWorkload, seed uint64, budget time.Duration, tr *
 	}
 	legs = append(legs, leg{tr: tr})
 	rt0 := readRuntime()
-	passes := r.measure(2*budget, legs...)
+	passes := r.measure(2*budget, 1, legs...)
 	runtimeDelta(rep, rt0, readRuntime())
 	base, p := passes[0], passes[len(passes)-1]
 	for metric, j := range twin {
@@ -477,7 +525,7 @@ func cellSummary(cells []cell, p *pass) []cellRecord {
 	out := make([]cellRecord, len(cells))
 	for i, c := range cells {
 		ops := simOps(p.stats[i])
-		out[i] = cellRecord{ID: c.id, WallsMs: durMs(p.wall[i]), SimOps: ops,
+		out[i] = cellRecord{ID: c.id, WallsMs: durMs(p.wall[i]), HostWallsMs: durMs(p.raw[i]), SimOps: ops,
 			SimOpsPerS: float64(ops) / p.cellWall(i).Seconds()}
 	}
 	return out
