@@ -31,6 +31,13 @@ import (
 // form: k probes collapse into O(1) counter arithmetic whenever the
 // probe period is constant and no pending event or budget boundary falls
 // inside the run (see spinBatchTAS).
+//
+// PollUntil and PollHead extend the same treatment to the polling
+// loops of the fault-tolerant locks and barriers — load, judge, delay,
+// repeat — whose exit conditions (a lease's expiry against the clock, a
+// distance-proportional ticket delay, a queue head's suspected owner)
+// are described as data and judged by the state machine instead of by
+// a resumed goroutine.
 
 // PredOp selects the comparison a Pred applies.
 type PredOp uint8
@@ -42,6 +49,8 @@ const (
 	PredNe
 	// PredGt holds when the (masked) value exceeds Want.
 	PredGt
+	// PredGe holds when the (masked) value is at least Want.
+	PredGe
 )
 
 // Pred is a data-encoded spin predicate: it describes the wait condition
@@ -64,6 +73,8 @@ func (pr Pred) Holds(v Word) bool {
 		return v != pr.Want
 	case PredGt:
 		return v > pr.Want
+	case PredGe:
+		return v >= pr.Want
 	default:
 		return v == pr.Want
 	}
@@ -87,6 +98,8 @@ const (
 	spinRead uint8 = iota // read probes: cached watch on Bus, polling on remote NUMA
 	spinTAS               // test&set probes with a Backoff schedule
 	spinTTAS              // read-spin until the predicate holds, then one test&set; repeat
+	spinPoll              // poll wait: load, judge, delay; no watchers, no jitter (PollUntil)
+	spinHead              // queue-head poll: serving load, slot load, judge, delay (PollHead)
 )
 
 // Spin state-machine phases. Each phase names the next operation to
@@ -97,6 +110,10 @@ const (
 	spReadJudge              // load completed: evaluate the predicate
 	spTASIssue               // issue a charged test&set of addr
 	spTASJudge               // test&set completed: evaluate the outcome
+	spPollIssue              // poll wait: issue a charged load of addr
+	spPollJudge              // poll load completed: judge, then delay or exit
+	spHeadJudge              // head poll: serving load completed; issue the slot load
+	spSlotJudge              // head poll: slot load completed; judge, then delay or exit
 )
 
 // spinState is the per-processor wait descriptor. It lives by value in
@@ -119,17 +136,34 @@ type spinState struct {
 	// cached at spin entry so the window detector never recomputes the
 	// topology's hop price per scan. Valid only while winStatic.
 	winService sim.Time
-	addr      Addr
-	pred      Pred
-	bo        Backoff
-	cur       sim.Time // current backoff delay
-	pollEvery sim.Time // base poll spacing (topology-priced; set when poll)
-	// deadline, when non-zero, bounds a test&set wait: the spin gives
-	// up at the first probe boundary at or past it (SpinTASFor). A
+	addr       Addr
+	pred       Pred
+	bo         Backoff
+	cur        sim.Time // current backoff delay
+	pollEvery  sim.Time // base poll spacing (topology-priced; set when poll)
+	// deadline, when non-zero, bounds a test&set wait — the spin gives
+	// up at the first probe boundary at or past it (SpinTASFor) — or a
+	// poll wait, at the first failed judge at or past it (PollUntil). A
 	// deadline spin is never window- or batch-eligible — the closed
 	// forms would fast-forward past the give-up point.
 	deadline sim.Time
 	val      Word // last probed value; the spin's result
+
+	// Poll waits (spinPoll, spinHead). pred.Want doubles as the
+	// proportional target and the head poll's ticket.
+	every  sim.Time // fixed delay after a failed judge
+	propK  sim.Time // adds (pred.Want - val) * propK to the delay
+	expiry Word     // non-zero: lease judge on this mask instead of pred
+	ok     bool     // PollUntil's result: false only on the deadline exit
+	// Head poll: the announcement ring and its layout, the grace
+	// period, the last slot value read, and the head tracking carried
+	// across re-entries (see HeadPoll).
+	slots     Addr
+	ring      int32
+	ownerBits uint8
+	grace     sim.Time
+	slot      Word
+	head      headTrack
 }
 
 func (s *spinState) holds(v Word) bool {
@@ -149,6 +183,30 @@ func (s *spinState) nextDelay(p *Proc) sim.Time {
 		if s.cur > s.bo.Cap {
 			s.cur = s.bo.Cap
 		}
+	}
+	return d
+}
+
+// pollHolds is the poll wait's exit test on the last probed value: the
+// lease judge (free, or its masked expiry at or before the clock) when
+// an expiry mask is set, else the predicate.
+func (s *spinState) pollHolds(now sim.Time) bool {
+	if s.expiry != 0 {
+		return s.val == 0 || sim.Time(s.val&s.expiry) <= now
+	}
+	return s.pred.Holds(s.val)
+}
+
+// pollDelay is the delay after a failed poll judge: the fixed spacing
+// plus the distance-proportional term, clamped at zero as Proc.Delay
+// clamps.
+func (s *spinState) pollDelay() sim.Time {
+	d := s.every
+	if s.propK != 0 {
+		d += sim.Time(s.pred.Want-s.val) * s.propK
+	}
+	if d < 0 {
+		d = 0
 	}
 	return d
 }
@@ -187,6 +245,17 @@ func (p *Proc) spinBegin(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.T
 	if kind == spinTAS {
 		s.phase = spTASIssue
 	}
+	p.spinRun()
+	return s.val
+}
+
+// spinRun runs the wait described by p.spin to completion: inline
+// while every operation retires on the fast path, then parked in the
+// drive loop until an EvSpin completes it. Poll waits (PollUntil,
+// PollHead) enter here directly: they register no watchers, draw no
+// jitter, and are never window- or batch-eligible.
+func (p *Proc) spinRun() {
+	s := &p.spin
 	if !p.m.spinAdvance(p) {
 		p.m.drive(p)
 	}
@@ -195,7 +264,6 @@ func (p *Proc) spinBegin(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.T
 		p.m.setWinMask(p.id, false) // the wait is over; no probe is pending
 	}
 	p.blockedOn = ""
-	return s.val
 }
 
 // spinComplete mirrors Proc.complete for an operation issued by the spin
@@ -227,6 +295,9 @@ func (p *Proc) spinComplete(lat sim.Time, next uint8) bool {
 // entry on the processor's own goroutine.
 func (m *Machine) spinAdvance(p *Proc) bool {
 	s := &p.spin
+	if s.kind >= spinPoll {
+		return m.pollAdvance(p)
+	}
 	for {
 		switch s.phase {
 		case spReadIssue:
@@ -306,6 +377,68 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 				continue
 			}
 			s.phase = spTASIssue // raw storm: retry immediately
+		}
+	}
+}
+
+// pollAdvance is spinAdvance for the poll waits (PollUntil, PollHead),
+// with the same contract. It is a separate function because folding
+// its phases into spinAdvance's switch measurably slowed the read and
+// test&set spins (see DESIGN.md, "Poll waits").
+func (m *Machine) pollAdvance(p *Proc) bool {
+	s := &p.spin
+	for {
+		switch s.phase {
+		case spPollIssue:
+			p.blockedOn = "poll"
+			next := spPollJudge
+			if s.kind == spinHead {
+				next = spHeadJudge
+			}
+			v, lat := p.loadIssue(s.addr)
+			s.val = v
+			if !p.spinComplete(lat, next) {
+				return false
+			}
+		case spPollJudge:
+			if s.pollHolds(p.localNow) {
+				s.ok = true
+				return true
+			}
+			if s.deadline > 0 && p.localNow >= s.deadline {
+				s.ok = false
+				return true
+			}
+			if !p.spinComplete(s.pollDelay(), spPollIssue) {
+				return false
+			}
+		case spHeadJudge:
+			if s.val >= s.pred.Want {
+				return true // our ticket was served, or excised past
+			}
+			if !s.head.tracking || s.val != s.head.seen {
+				s.head = headTrack{seen: s.val, since: p.localNow, tracking: true}
+			}
+			v, lat := p.loadIssue(s.slots + Addr(int(s.val)%int(s.ring)))
+			s.slot = v
+			if !p.spinComplete(lat, spSlotJudge) {
+				return false
+			}
+		case spSlotJudge:
+			if s.slot>>s.ownerBits == s.val {
+				// An empty owner field (a slot never announced, read as
+				// ticket 0) names no processor to suspect.
+				owner := int(s.slot&(Word(1)<<s.ownerBits-1)) - 1
+				if owner >= 0 && owner != p.id && m.SuspectedAt(owner, p.localNow) {
+					return true // the head's owner is suspected dead
+				}
+			}
+			if p.localNow-s.head.since >= s.grace {
+				return true // the head has not moved for a grace period
+			}
+			if !p.spinComplete(s.every, spPollIssue) {
+				return false
+			}
 		}
 	}
 }
@@ -488,6 +621,97 @@ func (p *Proc) SpinTASFor(a Addr, bo Backoff, deadline sim.Time) bool {
 		deadline = 1 // a degenerate deadline in the past, never "unbounded"
 	}
 	return p.spinBegin(spinTAS, a, Pred{}, bo, deadline) == 0
+}
+
+// Poll describes a polling wait as data: PollUntil loads the word,
+// judges the value, and on failure delays before the next load. The
+// wait ends when Until holds — or, when Expiry is non-zero, when the
+// word is zero or its Expiry-masked bits, read as an absolute time, are
+// at or before the processor's clock at the judge (a lease word whose
+// holder's term ran out). The delay after a failed judge is Every plus
+// (Until.Want - value) * PropK, clamped at zero: a fixed spacing, a
+// spacing proportional to the distance from the wanted value (a ticket
+// waiter's distance from the head), or both. A non-zero Deadline adds
+// a give-up exit at the first failed judge at or past that absolute
+// time.
+type Poll struct {
+	Until    Pred
+	Expiry   Word
+	Every    sim.Time
+	PropK    sim.Time
+	Deadline sim.Time
+}
+
+// PollUntil runs the poll wait w on the word at a and returns the last
+// value read and whether the wait's condition held (false only on the
+// Deadline exit). It is probe-for-probe the goroutine loop
+//
+//	for {
+//		v := p.Load(a)
+//		if <condition holds for v at p.Now()> { return v, true }
+//		if w.Deadline > 0 && p.Now() >= w.Deadline { return v, false }
+//		p.Delay(<delay for v>)
+//	}
+//
+// with the same charges, the same event slots and the same clocks, but
+// the goroutine parks once and the engine replays the probes. Unlike
+// SpinUntilPred, a poll wait is the same on every topology: it never
+// parks on a watcher and draws no remote-poll jitter.
+func (p *Proc) PollUntil(a Addr, w Poll) (Word, bool) {
+	s := &p.spin
+	*s = spinState{active: true, kind: spinPoll, phase: spPollIssue, addr: a, pred: w.Until,
+		every: w.Every, propK: w.PropK, expiry: w.Expiry, deadline: w.Deadline}
+	p.spinRun()
+	return s.val, s.ok
+}
+
+// headTrack is the queue-head tracking a head poll carries across
+// re-entries: the head ticket last seen and the clock when it was
+// first seen there.
+type headTrack struct {
+	seen     Word
+	since    sim.Time
+	tracking bool // false until the first serving load of the wait
+}
+
+// HeadPoll describes a queue-head poll over a ticket queue: Serving
+// holds the lowest unserved ticket, and the holder of ticket s
+// announces itself in Slots + s%Ring as s<<OwnerBits | (owner+1). The
+// wait for Ticket loads Serving; when the head s is still ahead of
+// Ticket it loads the head's slot and ends early if the slot announces
+// s with an owner (not this processor) that the failure detector
+// suspects at the judge, or if the head has not moved for
+// Grace cycles; otherwise it delays Every and repeats. The caller keeps
+// the HeadPoll across calls: the head tracking (which ticket was last
+// seen at the head, and since when) carries over re-entries, so a
+// caller that excises the head and waits again sees the same grace
+// clock as one continuous loop would.
+type HeadPoll struct {
+	Serving   Addr
+	Slots     Addr
+	Ring      int
+	OwnerBits uint8
+	Ticket    Word
+	Grace     sim.Time
+	Every     sim.Time
+
+	head headTrack
+}
+
+// PollHead runs the head poll h and returns the last serving value
+// read and whether the wait ended because the head reached Ticket
+// (serving >= Ticket: equal means our turn, greater means our ticket
+// was excised). On false the head s is stuck — its owner is suspected,
+// or the grace period ran out — and the caller decides what to do
+// about it before calling PollHead again. Like PollUntil, it is
+// probe-for-probe the equivalent Load/Delay goroutine loop.
+func (p *Proc) PollHead(h *HeadPoll) (Word, bool) {
+	s := &p.spin
+	*s = spinState{active: true, kind: spinHead, phase: spPollIssue, addr: h.Serving, pred: Pred{Want: h.Ticket},
+		every: h.Every, slots: h.Slots, ring: int32(h.Ring), ownerBits: h.OwnerBits, grace: h.Grace, head: h.head}
+	p.spinRun()
+	h.head = s.head
+	return s.val, s.val >= h.Ticket
 }
 
 // SpinTTAS is the test-and-test&set discipline: spin with ordinary reads

@@ -225,13 +225,9 @@ func (t *ticketLock) Name() string {
 func (t *ticketLock) Acquire(p *machine.Proc) {
 	ticket := p.FetchAdd(t.next, 1)
 	if t.propK > 0 {
-		for {
-			s := p.Load(t.serving)
-			if s == ticket {
-				break
-			}
-			p.Delay(sim.Time(ticket-s) * t.propK)
-		}
+		// Poll now-serving, sleeping (ticket - serving) * propK between
+		// probes: the further back in the queue, the longer the sleep.
+		p.PollUntil(t.serving, machine.Poll{Until: machine.Pred{Op: machine.PredEq, Want: ticket}, PropK: t.propK})
 	} else {
 		p.SpinUntilEq(t.serving, ticket)
 	}

@@ -147,25 +147,25 @@ func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 }
 
 func (l *leaseLock) Acquire(p *machine.Proc) {
+	// The engine polls the word every poll cycles until it is free or
+	// its lease has run out at the judge; only then does this goroutine
+	// resume to race for it.
+	w := machine.Poll{Expiry: leaseExpMask, Every: l.poll}
 	for {
-		v := p.Load(l.word)
+		v, _ := p.PollUntil(l.word, w)
 		if v == 0 {
 			if p.CompareAndSwap(l.word, 0, l.pack(p, p.Now()+l.lease)) {
 				return
 			}
 			continue
 		}
-		if exp := sim.Time(v & leaseExpMask); exp <= p.Now() {
-			// The lease ran out — the holder crashed, or stalled past
-			// its term. CAS on the exact observed word: of all the
-			// contenders that saw this expired lease, exactly one wins.
-			if p.CompareAndSwap(l.word, v, l.pack(p, p.Now()+l.lease)) {
-				l.takeovers++
-				return
-			}
-			continue
+		// The lease ran out — the holder crashed, or stalled past its
+		// term. CAS on the exact observed word: of all the contenders
+		// that saw this expired lease, exactly one wins.
+		if p.CompareAndSwap(l.word, v, l.pack(p, p.Now()+l.lease)) {
+			l.takeovers++
+			return
 		}
-		p.Delay(l.poll)
 	}
 }
 
@@ -258,14 +258,10 @@ func (b *stragglerBarrier) Wait(p *machine.Proc) {
 		b.raiseTo(p, e)
 		return
 	}
-	deadline := p.Now() + b.budget
-	for p.Load(b.release) < e {
-		if p.Now() >= deadline {
-			b.timeouts++
-			b.raiseTo(p, e) // give up on the stragglers; open the episode
-			return
-		}
-		p.Delay(b.poll)
+	w := machine.Poll{Until: machine.Pred{Op: machine.PredGe, Want: e}, Every: b.poll, Deadline: p.Now() + b.budget}
+	if _, released := p.PollUntil(b.release, w); !released {
+		b.timeouts++
+		b.raiseTo(p, e) // give up on the stragglers; open the episode
 	}
 }
 

@@ -139,10 +139,7 @@ func (l *fenceLock) Renewals() uint64 { return l.renewals }
 // together (each processor holds at most one ticket at a time), so a
 // slot is only ever overwritten after its previous ticket was served
 // or excised.
-const (
-	healOwnerBits = 12
-	healOwnerMask = machine.Word(1)<<healOwnerBits - 1
-)
+const healOwnerBits = 12
 
 // healQueueLock is a ticket lock whose waiters heal the queue: each
 // polling waiter identifies the processor owning the head ticket (via
@@ -223,46 +220,32 @@ func (l *healQueueLock) Acquire(p *machine.Proc) {
 }
 
 // waitTurn polls until ticket t is served (true) or excised (false),
-// healing the queue head along the way.
+// healing the queue head along the way. The engine runs the head poll
+// (machine.PollHead) and resumes this goroutine only when the head
+// reaches t or is stuck: its owner is suspected dead, or — the
+// backstop for dead tickets whose owner already recovered, clearing
+// its suspicion — it has not moved for a full grace period. Either way
+// the stuck head is excised. The CAS makes excision idempotent across
+// waiters, and a serving counter can only move forward, so a healthy
+// hand-off can never be rewound.
 func (l *healQueueLock) waitTurn(p *machine.Proc, t machine.Word) bool {
-	var headSeen machine.Word
-	headSince := p.Now()
-	first := true
+	h := machine.HeadPoll{
+		Serving:   l.serving,
+		Slots:     l.slots,
+		Ring:      l.procs,
+		OwnerBits: healOwnerBits,
+		Ticket:    t,
+		Grace:     l.grace,
+		Every:     l.poll,
+	}
 	for {
-		s := p.Load(l.serving)
-		if s == t {
-			return true
+		s, reached := p.PollHead(&h)
+		if reached {
+			return s == t
 		}
-		if s > t {
-			return false
+		if p.CompareAndSwap(l.serving, s, s+1) {
+			l.excisions++
 		}
-		if first || s != headSeen {
-			headSeen, headSince = s, p.Now()
-			first = false
-		}
-		slot := p.Load(l.slots + machine.Addr(int(s)%l.procs))
-		if slot>>healOwnerBits == s {
-			if owner := int(slot&healOwnerMask) - 1; owner != p.ID() && p.Suspects(owner) {
-				// The head ticket's owner is suspected dead: excise it.
-				// The CAS makes excision idempotent across waiters, and
-				// a serving counter can only move forward, so a healthy
-				// hand-off can never be rewound.
-				if p.CompareAndSwap(l.serving, s, s+1) {
-					l.excisions++
-				}
-				continue
-			}
-		}
-		if p.Now()-headSince >= l.grace {
-			// Backstop: the head has not moved for a full grace period.
-			// Catches dead tickets whose owner already recovered (its
-			// suspicion cleared at rebirth, but its old ticket remains).
-			if p.CompareAndSwap(l.serving, s, s+1) {
-				l.excisions++
-			}
-			continue
-		}
-		p.Delay(l.poll)
 	}
 }
 
@@ -400,17 +383,18 @@ func (b *reconfBarrier) Wait(p *machine.Proc) {
 		b.raiseTo(p, e)
 		return
 	}
-	deadline := p.Now() + b.budget
-	for p.Load(b.release) < e {
-		if p.Now() >= deadline {
-			// Re-scan: late crashes become suspicions only with time, so
-			// waiting on release alone could park the survivors forever.
-			if b.scan(p, e) {
-				b.raiseTo(p, e)
-				return
-			}
-			deadline = p.Now() + b.budget
+	w := machine.Poll{Until: machine.Pred{Op: machine.PredGe, Want: e}, Every: b.poll, Deadline: p.Now() + b.budget}
+	for {
+		if _, released := p.PollUntil(b.release, w); released {
+			return
 		}
+		// Re-scan: late crashes become suspicions only with time, so
+		// waiting on release alone could park the survivors forever.
+		if b.scan(p, e) {
+			b.raiseTo(p, e)
+			return
+		}
+		w.Deadline = p.Now() + b.budget
 		p.Delay(b.poll)
 	}
 }
