@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -203,20 +204,16 @@ type simBenchSnapshot struct {
 // simBenchFile is the simulator-throughput trajectory: one snapshot per
 // engine-improvement milestone, so the host-efficiency history of the
 // event engine and machine hot path reads directly from the file.
-// Legacy single-snapshot files (top-level "results") are converted to a
-// one-entry trajectory on load.
 type simBenchFile struct {
 	Experiment string             `json:"experiment"`
 	Snapshots  []simBenchSnapshot `json:"snapshots"`
-
-	// Legacy single-snapshot fields, for reading files written before
-	// the trajectory format.
-	Quick   bool             `json:"quick,omitempty"`
-	Results []simBenchResult `json:"results,omitempty"`
 }
 
-// loadSimBench reads an existing trajectory file, converting the legacy
-// single-snapshot layout. A missing file yields an empty trajectory.
+// loadSimBench reads an existing trajectory file. A missing file yields
+// an empty trajectory. A file with fields the trajectory layout does not
+// have — such as the top-level "results" of a single-snapshot file — is
+// refused, so the merge never silently drops its contents and
+// overwrites it.
 func loadSimBench(path string) (simBenchFile, error) {
 	var f simBenchFile
 	data, err := os.ReadFile(path)
@@ -226,16 +223,11 @@ func loadSimBench(path string) (simBenchFile, error) {
 	if err != nil {
 		return f, err
 	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("simjson: %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return f, fmt.Errorf("simjson: %s is not a trajectory file: %w", path, err)
 	}
-	if len(f.Snapshots) == 0 && len(f.Results) > 0 {
-		f.Snapshots = []simBenchSnapshot{{
-			Label: "converted legacy snapshot", Quick: f.Quick, Results: f.Results,
-		}}
-	}
-	f.Quick = false
-	f.Results = nil
 	return f, nil
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 // The -simjson flag must accumulate a trajectory: new snapshots merge
-// into the existing file instead of overwriting it, and files written
-// in the pre-trajectory single-snapshot layout convert on load.
+// into the existing file instead of overwriting it, and a file in any
+// other layout is refused rather than emptied and overwritten.
 
-func TestLoadSimBenchConvertsLegacyFile(t *testing.T) {
+func TestLoadSimBenchRefusesSingleSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_sim.json")
-	legacy := `{
+	single := `{
   "experiment": "simulator hot-path throughput",
   "quick": false,
   "results": [
@@ -23,22 +23,17 @@ func TestLoadSimBenchConvertsLegacyFile(t *testing.T) {
      "sim_ops_per_sec": 1000, "events_per_sec": 900, "inline_ops_frac": 0.1}
   ]
 }`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(single), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := loadSimBench(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := loadSimBench(path); err == nil {
+		t.Fatal("a single-snapshot file (top-level results, no snapshots) loaded without error")
 	}
-	if len(f.Snapshots) != 1 {
-		t.Fatalf("converted %d snapshots, want 1", len(f.Snapshots))
+	if err := writeSimBench(path, true, "refused"); err == nil {
+		t.Fatal("writeSimBench merged into a single-snapshot file")
 	}
-	s := f.Snapshots[0]
-	if len(s.Results) != 1 || s.Results[0].Workload != "lock/tas" || s.Results[0].SimOpsPerSec != 1000 {
-		t.Fatalf("legacy results not preserved: %+v", s)
-	}
-	if f.Results != nil {
-		t.Fatal("legacy fields should be cleared after conversion")
+	if got, err := os.ReadFile(path); err != nil || string(got) != single {
+		t.Fatalf("the refused file was rewritten (err %v)", err)
 	}
 }
 

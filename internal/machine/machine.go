@@ -224,11 +224,11 @@ type Stats struct {
 	// Config.NoInlineDispatch A/B pair (zero in the handoff mode).
 	InlineDispatches uint64
 	Loads            uint64
-	Stores     uint64
-	RMWs       uint64
-	BusTxns    uint64
-	RemoteRefs uint64
-	PerProc    []ProcStats
+	Stores           uint64
+	RMWs             uint64
+	BusTxns          uint64
+	RemoteRefs       uint64
+	PerProc          []ProcStats
 }
 
 // TrafficFor returns the topology's headline interconnect transaction

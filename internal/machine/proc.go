@@ -179,6 +179,19 @@ func (p *Proc) tasIssue(a Addr) (Word, sim.Time) {
 	return old, lat
 }
 
+// casIssue likewise performs the issue half of a compare&swap,
+// reporting whether it installed new.
+func (p *Proc) casIssue(a Addr, old, new Word) (bool, sim.Time) {
+	p.stats.RMWs++
+	lat := p.m.access(p, a, accRMW)
+	ok := p.m.mem[a] == old
+	if ok {
+		p.m.mem[a] = new
+		p.m.wakeWatchers(a, p.localNow+lat)
+	}
+	return ok, lat
+}
+
 // Load reads a word.
 func (p *Proc) Load(a Addr) Word {
 	v, lat := p.loadIssue(a)
@@ -228,13 +241,7 @@ func (p *Proc) FetchAdd(a Addr, d Word) Word {
 // Failed CAS still costs a full interconnect transaction, as on real
 // hardware of the era.
 func (p *Proc) CompareAndSwap(a Addr, old, new Word) bool {
-	p.stats.RMWs++
-	lat := p.m.access(p, a, accRMW)
-	ok := p.m.mem[a] == old
-	if ok {
-		p.m.mem[a] = new
-		p.m.wakeWatchers(a, p.localNow+lat)
-	}
+	ok, lat := p.casIssue(a, old, new)
 	p.complete(lat, "compare&swap")
 	return ok
 }

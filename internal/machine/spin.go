@@ -37,7 +37,11 @@ import (
 // repeat — whose exit conditions (a lease's expiry against the clock, a
 // distance-proportional ticket delay, a queue head's suspected owner)
 // are described as data and judged by the state machine instead of by
-// a resumed goroutine.
+// a resumed goroutine. The acquire that follows such a wait runs there
+// too: a poll with a claim issues its compare&swap from the judge and
+// reloads on a lost race (the lease locks), and a sliced test&set wait
+// serves its penalty and re-arms its next slice (the deadline lock), so
+// the goroutine resumes once, holding the lock.
 
 // PredOp selects the comparison a Pred applies.
 type PredOp uint8
@@ -106,14 +110,15 @@ const (
 // perform; a phase boundary is exactly a resumption point of the
 // equivalent goroutine loop.
 const (
-	spReadIssue uint8 = iota // issue a charged load of addr
-	spReadJudge              // load completed: evaluate the predicate
-	spTASIssue               // issue a charged test&set of addr
-	spTASJudge               // test&set completed: evaluate the outcome
-	spPollIssue              // poll wait: issue a charged load of addr
-	spPollJudge              // poll load completed: judge, then delay or exit
-	spHeadJudge              // head poll: serving load completed; issue the slot load
-	spSlotJudge              // head poll: slot load completed; judge, then delay or exit
+	spReadIssue  uint8 = iota // issue a charged load of addr
+	spReadJudge               // load completed: evaluate the predicate
+	spTASIssue                // issue a charged test&set of addr
+	spTASJudge                // test&set completed: evaluate the outcome
+	spPollIssue               // poll wait: issue a charged load of addr
+	spPollJudge               // poll load completed: judge, then delay or exit
+	spHeadJudge               // head poll: serving load completed; issue the slot load
+	spSlotJudge               // head poll: slot load completed; judge, then delay or exit
+	spClaimJudge              // poll claim: compare&swap completed; exit if won, else reload
 )
 
 // spinState is the per-processor wait descriptor. It lives by value in
@@ -149,11 +154,21 @@ type spinState struct {
 	deadline sim.Time
 	val      Word // last probed value; the spin's result
 
+	// Sliced test&set waits (SpinTASSliced): a non-zero slice turns the
+	// deadline exit into a timeout count, a penalty delay and a fresh
+	// slice; rearm is set while the penalty is in flight.
+	slice    sim.Time
+	penalty  sim.Time
+	timeouts *uint64
+	rearm    bool
+
 	// Poll waits (spinPoll, spinHead). pred.Want doubles as the
 	// proportional target and the head poll's ticket.
 	every  sim.Time // fixed delay after a failed judge
 	propK  sim.Time // adds (pred.Want - val) * propK to the delay
 	expiry Word     // non-zero: lease judge on this mask instead of pred
+	claim  Word     // non-zero: compare&swap the judged value to claim | (clock+term)&expiry
+	term   sim.Time // claim's term, stamped from the judge clock
 	ok     bool     // PollUntil's result: false only on the deadline exit
 	// Head poll: the announcement ring and its layout, the grace
 	// period, the last slot value read, and the head tracking carried
@@ -339,7 +354,12 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 		case spTASIssue:
 			p.blockedOn = "spin"
 			if s.deadline > 0 && p.localNow >= s.deadline {
-				return true // out of time: s.val is non-zero, the wait failed
+				if s.slice == 0 {
+					return true // out of time: s.val is non-zero, the wait failed
+				}
+				if !p.sliceExpired() {
+					return false // the penalty delay is pending
+				}
 			}
 			if s.kind == spinTAS {
 				m.spinBatchTAS(p)
@@ -381,6 +401,29 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 	}
 }
 
+// sliceExpired ends an expired slice of a sliced test&set wait the way
+// the goroutine loop it replaces did: count the timeout, delay the
+// penalty, then re-arm as a fresh SpinTASFor would — backoff back to
+// Base, the result seeded non-zero, and the next deadline taken from
+// the clock after the penalty completed (a stall may have deferred that
+// point). It reports false while the penalty's completion is pending;
+// the wait then re-enters spTASIssue with rearm set and re-arms there.
+func (p *Proc) sliceExpired() bool {
+	s := &p.spin
+	if !s.rearm {
+		*s.timeouts++
+		s.rearm = true
+		if !p.spinComplete(s.penalty, spTASIssue) {
+			return false
+		}
+	}
+	s.rearm = false
+	s.cur = s.bo.Base
+	s.val = 1
+	s.deadline = p.localNow + s.slice
+	return true
+}
+
 // pollAdvance is spinAdvance for the poll waits (PollUntil, PollHead),
 // with the same contract. It is a separate function because folding
 // its phases into spinAdvance's switch measurably slowed the read and
@@ -402,8 +445,18 @@ func (m *Machine) pollAdvance(p *Proc) bool {
 			}
 		case spPollJudge:
 			if s.pollHolds(p.localNow) {
-				s.ok = true
-				return true
+				if s.claim == 0 {
+					s.ok = true
+					return true
+				}
+				// Claim exit: race for the word with a compare&swap of
+				// the judged value, stamped from the judge clock.
+				ok, lat := p.casIssue(s.addr, s.val, s.claim|Word(p.localNow+s.term)&s.expiry)
+				s.ok = ok
+				if !p.spinComplete(lat, spClaimJudge) {
+					return false
+				}
+				continue
 			}
 			if s.deadline > 0 && p.localNow >= s.deadline {
 				s.ok = false
@@ -412,6 +465,11 @@ func (m *Machine) pollAdvance(p *Proc) bool {
 			if !p.spinComplete(s.pollDelay(), spPollIssue) {
 				return false
 			}
+		case spClaimJudge:
+			if s.ok {
+				return true // the claim won: the caller holds the word
+			}
+			s.phase = spPollIssue // lost the race: reload at once
 		case spHeadJudge:
 			if s.val >= s.pred.Want {
 				return true // our ticket was served, or excised past
@@ -620,7 +678,35 @@ func (p *Proc) SpinTASFor(a Addr, bo Backoff, deadline sim.Time) bool {
 	if deadline <= 0 {
 		deadline = 1 // a degenerate deadline in the past, never "unbounded"
 	}
+	p.spin.slice = 0
 	return p.spinBegin(spinTAS, a, Pred{}, bo, deadline) == 0
+}
+
+// SpinTASSliced acquires the latch at a with test&set probes in bounded
+// slices: each slice is a SpinTASFor wait of slice cycles, and at every
+// expired slice it increments *timeouts, delays penalty
+// cycles and starts the next slice from the clock after the delay. It
+// is probe-for-probe the goroutine loop
+//
+//	for !p.SpinTASFor(a, bo, p.Now()+slice) {
+//		*timeouts++
+//		p.Delay(penalty)
+//	}
+//
+// but the slices re-arm inside the engine, so the goroutine parks once
+// and resumes holding the latch. The counter is bumped at each expiry,
+// as the loop bumped it, so a processor that crashes mid-wait leaves
+// the same count behind.
+func (p *Proc) SpinTASSliced(a Addr, bo Backoff, slice, penalty sim.Time, timeouts *uint64) {
+	if slice <= 0 {
+		slice = 1
+	}
+	if penalty < 0 {
+		penalty = 0
+	}
+	s := &p.spin
+	s.slice, s.penalty, s.timeouts, s.rearm = slice, penalty, timeouts, false
+	p.spinBegin(spinTAS, a, Pred{}, bo, p.localNow+slice)
 }
 
 // Poll describes a polling wait as data: PollUntil loads the word,
@@ -634,21 +720,33 @@ func (p *Proc) SpinTASFor(a Addr, bo Backoff, deadline sim.Time) bool {
 // waiter's distance from the head), or both. A non-zero Deadline adds
 // a give-up exit at the first failed judge at or past that absolute
 // time.
+//
+// A non-zero Claim makes the wait an acquire: when the judge holds, the
+// processor issues a compare&swap of the judged value to
+// Claim | (clock+Term)&Expiry, with the clock read at the judge. A won
+// compare&swap ends the wait; a lost one reloads at once.
 type Poll struct {
 	Until    Pred
 	Expiry   Word
 	Every    sim.Time
 	PropK    sim.Time
 	Deadline sim.Time
+	Claim    Word
+	Term     sim.Time
 }
 
 // PollUntil runs the poll wait w on the word at a and returns the last
 // value read and whether the wait's condition held (false only on the
-// Deadline exit). It is probe-for-probe the goroutine loop
+// Deadline exit); with a Claim, the value is the one the won
+// compare&swap replaced. It is probe-for-probe the goroutine loop
 //
 //	for {
 //		v := p.Load(a)
-//		if <condition holds for v at p.Now()> { return v, true }
+//		if <condition holds for v at p.Now()> {
+//			if w.Claim == 0 { return v, true }
+//			if p.CompareAndSwap(a, v, <claim stamped at p.Now()>) { return v, true }
+//			continue
+//		}
 //		if w.Deadline > 0 && p.Now() >= w.Deadline { return v, false }
 //		p.Delay(<delay for v>)
 //	}
@@ -660,7 +758,7 @@ type Poll struct {
 func (p *Proc) PollUntil(a Addr, w Poll) (Word, bool) {
 	s := &p.spin
 	*s = spinState{active: true, kind: spinPoll, phase: spPollIssue, addr: a, pred: w.Until,
-		every: w.Every, propK: w.PropK, expiry: w.Expiry, deadline: w.Deadline}
+		every: w.Every, propK: w.PropK, expiry: w.Expiry, claim: w.Claim, term: w.Term, deadline: w.Deadline}
 	p.spinRun()
 	return s.val, s.ok
 }

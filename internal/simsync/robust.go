@@ -31,7 +31,11 @@ type BoundedLock interface {
 // acquire attempt spins for at most one slice, then backs off for a
 // penalty and retries. Under no faults it behaves like tas with backoff;
 // under faults every slice boundary is a chance to observe that the
-// world moved on. Deadline spins are window-ineligible by construction
+// world moved on. Acquire is one machine.SpinTASSliced wait: the engine
+// counts each expired slice, serves the penalty and re-arms the next
+// slice, so the processor's program resumes once, holding the latch.
+// AcquireWithin is a single slice (SpinTASFor) for the fault runners.
+// Deadline spins are window-ineligible by construction
 // (machine/spin.go), so adding this lock never perturbs the windowed
 // fast-forward of the plain tas storms running beside it.
 type deadlineTASLock struct {
@@ -40,8 +44,9 @@ type deadlineTASLock struct {
 	penalty sim.Time
 	bo      machine.Backoff
 
-	// timeouts counts expired slices. Host-side is safe: the simulation
-	// runs one goroutine at a time (baton passing).
+	// timeouts counts expired slices; the engine bumps it at each
+	// expiry. Host-side is safe: the simulation runs one processor at a
+	// time (baton passing).
 	timeouts uint64
 }
 
@@ -80,10 +85,7 @@ func (t *deadlineTASLock) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
 }
 
 func (t *deadlineTASLock) Acquire(p *machine.Proc) {
-	for !t.AcquireWithin(p, t.slice) {
-		t.timeouts++
-		p.Delay(t.penalty)
-	}
+	p.SpinTASSliced(t.latch, t.bo, t.slice, t.penalty, &t.timeouts)
 }
 
 func (t *deadlineTASLock) Release(p *machine.Proc) {
@@ -110,8 +112,12 @@ const (
 // expiry time stamped into the lock word itself. A healthy holder
 // releases long before expiry; a crashed or stalled holder's lease runs
 // out, and the next contender takes the lock over with a CAS on the
-// observed (owner, expiry) pair. Release CASes rather than stores so a
-// holder that was usurped after expiring does not stomp the usurper.
+// observed (owner, expiry) pair. Acquire is one claiming poll
+// (machine.Poll with Claim): the engine polls until the word is free or
+// expired, issues that CAS from the judge, and on a lost race reloads,
+// so of all the contenders that saw the word free exactly one resumes
+// its program. Release CASes rather than stores so a holder that was
+// usurped after expiring does not stomp the usurper.
 type leaseLock struct {
 	word  machine.Addr
 	lease sim.Time // lease term stamped on acquire
@@ -147,25 +153,13 @@ func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 }
 
 func (l *leaseLock) Acquire(p *machine.Proc) {
-	// The engine polls the word every poll cycles until it is free or
-	// its lease has run out at the judge; only then does this goroutine
-	// resume to race for it.
-	w := machine.Poll{Expiry: leaseExpMask, Every: l.poll}
-	for {
-		v, _ := p.PollUntil(l.word, w)
-		if v == 0 {
-			if p.CompareAndSwap(l.word, 0, l.pack(p, p.Now()+l.lease)) {
-				return
-			}
-			continue
-		}
-		// The lease ran out — the holder crashed, or stalled past its
-		// term. CAS on the exact observed word: of all the contenders
-		// that saw this expired lease, exactly one wins.
-		if p.CompareAndSwap(l.word, v, l.pack(p, p.Now()+l.lease)) {
-			l.takeovers++
-			return
-		}
+	// The claim stamps pack(p, judge clock + term). A non-zero replaced
+	// word was an expired lease: the holder crashed, or stalled past
+	// its term, and this acquire took it over.
+	w := machine.Poll{Expiry: leaseExpMask, Every: l.poll,
+		Claim: machine.Word(p.ID()+1) << leaseExpBits, Term: l.lease}
+	if v, _ := p.PollUntil(l.word, w); v != 0 {
+		l.takeovers++
 	}
 }
 
