@@ -89,14 +89,6 @@ type Config struct {
 	// performance comparisons.
 	NoSpinWindows bool
 
-	// NoInlineDispatch disables inline continuation dispatch (cont.go):
-	// every EvCont hands the baton to the owning goroutine instead of
-	// advancing the script in the popping goroutine's drive loop.
-	// Simulated results are bit-identical either way — the switch exists
-	// for the determinism A/B tests and for host-side performance
-	// comparisons of the handoff cost the continuation table removes.
-	NoInlineDispatch bool
-
 	// Placement is the default data-placement policy handed to
 	// placement-aware algorithms (see AllocPlaced); nil defaults to
 	// topo.PlaceGroup, which degenerates to per-processor local
@@ -215,20 +207,13 @@ type Stats struct {
 	// host-side efficiency metric with no effect on simulated time,
 	// traffic, or even the Events count (windowed pops are charged to
 	// the step counter exactly as if they had fired).
-	WindowOps uint64
-	// InlineDispatches counts continuation ops advanced in place by the
-	// drive loop (cont.go) instead of over a baton handoff. Like
-	// InlineOps and WindowOps it is a host-side efficiency metric with
-	// no effect on simulated time, traffic, or the Events count; it is
-	// the only Stats field allowed to differ across the
-	// Config.NoInlineDispatch A/B pair (zero in the handoff mode).
-	InlineDispatches uint64
-	Loads            uint64
-	Stores           uint64
-	RMWs             uint64
-	BusTxns          uint64
-	RemoteRefs       uint64
-	PerProc          []ProcStats
+	WindowOps  uint64
+	Loads      uint64
+	Stores     uint64
+	RMWs       uint64
+	BusTxns    uint64
+	RemoteRefs uint64
+	PerProc    []ProcStats
 }
 
 // TrafficFor returns the topology's headline interconnect transaction
@@ -295,10 +280,6 @@ type Machine struct {
 	// per processor; winSet/winOrder/winRetimes are reusable scratch
 	// for the detector.
 	winEnabled bool // set by Reset: windows possible on this config at all
-	// noInline caches Config.NoInlineDispatch: when set, EvCont events
-	// hand the baton to the owning goroutine (the A/B reference mode)
-	// instead of advancing the continuation in the drive loop.
-	noInline bool
 	// winClassed caches the topology's TraversalClasses declaration for
 	// Modules machines: storms are window-eligible only on topologies
 	// that declare a closed set of remote distance classes.
@@ -400,7 +381,6 @@ func (m *Machine) Reset(cfg Config) error {
 		p.localNow = 0
 		p.watchNext = 0
 		p.spin = spinState{}
-		p.cont = contState{}
 		p.finished = false
 		p.crashed = false
 		p.incarnation = 0
@@ -427,7 +407,6 @@ func (m *Machine) Reset(cfg Config) error {
 
 	m.stats = Stats{}
 	m.winEnabled = !cfg.NoSpinWindows && m.disc != topo.Uniform
-	m.noInline = cfg.NoInlineDispatch
 	m.winClassed = false
 	if m.disc == topo.Modules {
 		_, m.winClassed = m.topo.TraversalClasses(m.tm)
@@ -606,10 +585,10 @@ func (m *Machine) Run(body func(p *Proc)) error {
 // channel send, and parks. A simulated context switch back into a
 // program body therefore costs at most one goroutine handoff — and
 // usually none: an operation retired on the inline fast path schedules
-// no event at all, machine-driven spin waits (spin.go) and scripted
-// continuations (cont.go) advance inside whichever goroutine pops
-// their events, and the baton moves only when a processor's *program*
-// must resume (acquire completed, script finished, recovery re-entry).
+// no event at all, machine-driven spin waits (spin.go) advance inside
+// whichever goroutine pops their events, and the baton moves only when
+// a processor's *program* must resume (acquire completed, recovery
+// re-entry).
 func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 	if len(bodies) != m.cfg.Procs {
 		return fmt.Errorf("machine: RunEach needs %d bodies, got %d", m.cfg.Procs, len(bodies))
@@ -786,32 +765,6 @@ func (m *Machine) drive(p *Proc) {
 			}
 			m.spinStreak = 0
 			q = s // spin satisfied: resume the program at s.localNow
-		case sim.EvCont:
-			// Advance a parked processor's scripted continuation
-			// (cont.go). The drop, stall-deferral, and clock-resync
-			// steps mirror the EvDispatch case exactly; the only
-			// difference is that the ops run here, in the popping
-			// goroutine, unless NoInlineDispatch demands the
-			// baton-handoff reference execution.
-			m.spinStreak = 0
-			c := m.procs[arg0]
-			if c.finished || c.crashed {
-				continue // stale wakeup: the processor returned or died
-			}
-			if m.flt != nil {
-				if e := m.flt.stallEnd(int(arg0), m.eng.Now()); e > m.eng.Now() {
-					m.eng.AtEvent(e, kind, arg0, arg1)
-					continue
-				}
-			}
-			c.localNow = m.eng.Now()
-			if !m.noInline {
-				m.stats.InlineDispatches++
-				if !m.contAdvance(c) {
-					continue // script still running: ops ran here, no handoff
-				}
-			}
-			q = c // script complete (or reference mode): resume the goroutine
 		case sim.EvFault:
 			// Materialize a processor crash. The processor's live count
 			// is surrendered here; its pending events are dropped on
@@ -918,13 +871,12 @@ func (m *Machine) revive(r *Proc) {
 	pid := int32(r.id)
 	m.eng.PurgePending(func(ev sim.PendingEvent) bool {
 		return ev.Arg0 == pid &&
-			(ev.Kind == sim.EvDispatch || ev.Kind == sim.EvSpin || ev.Kind == sim.EvCont)
+			(ev.Kind == sim.EvDispatch || ev.Kind == sim.EvSpin)
 	})
 	if r.spin.active {
 		m.watchUnlink(r.spin.addr, r.id)
 	}
 	r.spin = spinState{}
-	r.cont = contState{}
 	r.watchNext = 0
 	r.blockedOn = ""
 	r.blockedAddr = 0

@@ -16,7 +16,7 @@ import (
 // be probe-for-probe the explicit goroutine loop it replaces, so a
 // program written either way returns the same values at the same clocks
 // and leaves the same Stats — only the host-side counters (InlineOps,
-// WindowOps, InlineDispatches) may differ.
+// WindowOps) may differ.
 
 // refPoll is the goroutine loop PollUntil replaces.
 func refPoll(p *Proc, a Addr, w Poll) (Word, bool) {
@@ -370,7 +370,7 @@ func runPollShape(t *testing.T, cfg Config, sh pollShape, engine bool) (pollResu
 		res.Err = err.Error()
 	}
 	res.Stats = m.Stats()
-	res.Stats.InlineOps, res.Stats.WindowOps, res.Stats.InlineDispatches = 0, 0, 0
+	res.Stats.InlineOps, res.Stats.WindowOps = 0, 0
 	return res, w
 }
 

@@ -44,11 +44,6 @@ type Proc struct {
 	// here by value so entering a wait never allocates.
 	spin spinState
 
-	// cont is the machine-driven scripted-continuation state (see
-	// cont.go). Like spin it lives here by value, so running a script
-	// allocates nothing beyond the caller's op slice.
-	cont contState
-
 	finished bool
 	// crashed marks a processor removed by a fault plan (fault.go): its
 	// events are dropped and the words it holds are never released. A

@@ -58,17 +58,6 @@ const (
 	// horizons exactly like any other event, so crash-recovery runs
 	// keep the windows on/off bit-identity contract.
 	EvRecover
-	// EvCont advances a machine-driven straight-line continuation: the
-	// simulation layer executes the next step of a parked processor's
-	// scripted instruction sequence directly in its drive loop, without
-	// resuming the processor's goroutine. arg0 is the processor index.
-	// Scheduling-wise an EvCont is indistinguishable from the EvDispatch
-	// it replaces — same timestamp, same sequence-number consumption —
-	// which is what keeps inline continuation dispatch bit-identical to
-	// the baton-handoff path. Like any other pending event, an EvCont
-	// bounds every processor's inline run-ahead and every spin window's
-	// horizon.
-	EvCont
 )
 
 // Handler consumes typed events. A single handler is installed by the
@@ -588,10 +577,11 @@ func (e *Engine) rescanMin() {
 
 // heapify converts the unsorted queue into a 4-ary min-heap; the engine
 // stays in heap mode until Reset. Crossing the threshold mid-run is
-// rare (the population tracks the processor count).
+// rare (the population tracks the processor count). PurgePending and
+// FinishWindow re-heapify queues of any size, empty ones included.
 func (e *Engine) heapify() {
 	e.linear = false
-	for i := (len(e.events) - 2) / heapArity; i >= 0; i-- {
+	for i := (len(e.events) - 2) / heapArity; i >= 0 && len(e.events) > 1; i-- {
 		e.siftDown(i)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
@@ -145,37 +144,243 @@ func TestEngineStepOnEmpty(t *testing.T) {
 	}
 }
 
-// Property: for any random set of (time, index) pairs, the engine fires
-// them sorted by time and, within a time, by scheduling order.
-func TestEngineOrderProperty(t *testing.T) {
-	f := func(delays []uint8) bool {
-		if len(delays) == 0 {
-			return true
+// Engine ops decoded by FuzzEngineOrder: each op is one byte (its value
+// mod fzOps) followed by the operand bytes it consumes.
+const (
+	fzAtEvent = iota // delta: typed event at now+delta (delta >= 250: in the past, clamped)
+	fzAt             // delta: closure event at now+delta
+	fzStep           // StepPayload
+	fzPeek           // NextTime and NextPeek
+	fzRetime         // k, then (index, delta) per retime, then extra pops
+	fzPurge          // mod, rem: purge typed events with id%mod == rem
+	fzBurst          // n: n typed events, enough to cross linearMax
+	fzReset          // Reset: back to linear mode
+	fzOps
+)
+
+// fzMaxPending caps the queue FuzzEngineOrder builds (pushes past it
+// are skipped), keeping every input fast while staying far above
+// linearMax.
+const fzMaxPending = 256
+
+// fzEntry is one pending event of FuzzEngineOrder's reference model.
+type fzEntry struct {
+	when Time
+	seq  uint64
+	id   int32
+	fn   bool
+}
+
+// engineOrderSeeds returns the seed corpus of FuzzEngineOrder: the
+// closure-delay schedules of the original order property (random
+// uint8 delays, drained in full), plus schedules that cross the
+// linear/heap threshold with pops, retimes, purges and resets in both
+// layouts.
+func engineOrderSeeds() [][]byte {
+	var seeds [][]byte
+	r := NewRNG(150)
+	for k := 0; k < 200; k++ {
+		var in []byte
+		for n := r.Intn(51); n > 0; n-- {
+			in = append(in, fzAt, byte(r.Intn(256)))
+		}
+		seeds = append(seeds, in)
+	}
+	seeds = append(seeds,
+		// Linear mode: retime the minimum (t=10) past the others, then
+		// peek and pop: the cached minimum must move to t=20.
+		[]byte{fzAtEvent, 10, fzAtEvent, 20, fzAt, 30, fzRetime, 0, 0, 50, 0, fzPeek, fzStep, fzStep, fzStep},
+		// Heap mode: retime three entries, purge every other typed
+		// event, drain; then Reset to linear mode and cross again.
+		[]byte{fzBurst, 20, fzRetime, 2, 0, 200, 1, 150, 2, 100, 1, fzStep, fzStep, fzPurge, 1, 1, fzPeek,
+			fzAt, 7, fzAtEvent, 251, fzStep, fzReset, fzAtEvent, 4, fzBurst, 16, fzAtEvent, 2, fzStep},
+		// A purge in heap mode leaves a subsequence of the heap array,
+		// which must be re-heapified before the drain.
+		[]byte{fzBurst, 30, fzPurge, 1, 1},
+		// A purge that empties the heap, then pushes into it.
+		[]byte{fzBurst, 31, fzPurge, 0, 0, fzPeek, fzAtEvent, 1, fzAt, 1, fzStep},
+	)
+	return seeds
+}
+
+// FuzzEngineOrder decodes its input into a schedule of AtEvent/At,
+// StepPayload, NextTime/NextPeek, RetimePending+FinishWindow,
+// PurgePending and Reset calls, and replays it against a sorted-slice
+// reference: every pop must come out in (when, seq) order with the
+// payload it was scheduled with, and the queue size, sequence and step
+// counters must track the reference after every call — in the linear
+// layout, in the heap, and across the switch between them.
+func FuzzEngineOrder(f *testing.F) {
+	for _, s := range engineOrderSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 4096 {
+			return
 		}
 		e := NewEngine()
-		type rec struct {
-			when Time
-			idx  int
-		}
-		var got []rec
-		for i, d := range delays {
-			i, when := i, Time(d)
-			e.At(when, func() { got = append(got, rec{when, i}) })
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		sorted := sort.SliceIsSorted(got, func(i, j int) bool {
-			if got[i].when != got[j].when {
-				return got[i].when < got[j].when
+		var (
+			ref   []fzEntry
+			now   Time
+			seq   uint64
+			steps uint64
+			id    int32
+			fired int32 = -1 // id recorded by the last closure that ran
+			heap  bool       // the queue has passed linearMax since the last Reset
+		)
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
 			}
-			return got[i].idx < got[j].idx
-		})
-		return sorted && len(got) == len(delays)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		less := func(a, b fzEntry) bool {
+			return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+		}
+		// ref stays sorted by (when, seq): pushes insert in place, a
+		// retime batch re-sorts.
+		insert := func(ev fzEntry) {
+			i := sort.Search(len(ref), func(i int) bool { return less(ev, ref[i]) })
+			ref = append(ref, fzEntry{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = ev
+		}
+		push := func(delta byte, closure bool) {
+			if len(ref) >= fzMaxPending {
+				return
+			}
+			when := now + Time(delta)
+			if delta >= 250 {
+				when = now - Time(delta-249) // in the past: clamped to now
+			}
+			id++
+			seq++
+			ev := fzEntry{when: max(when, now), seq: seq, id: id, fn: closure}
+			if closure {
+				me := id
+				e.At(when, func() { fired = me })
+			} else {
+				e.AtEvent(when, EvDispatch+EventKind(id%2), id, 0)
+			}
+			insert(ev)
+		}
+		pop := func() {
+			kind, arg0, _, ok := e.StepPayload()
+			if len(ref) == 0 {
+				if ok {
+					t.Fatalf("pop from an empty queue fired kind %d arg0 %d", kind, arg0)
+				}
+				return
+			}
+			want := ref[0]
+			ref = ref[1:]
+			now = want.when
+			steps++
+			switch {
+			case !ok:
+				t.Fatalf("pop fired nothing, want %+v", want)
+			case want.fn && (kind != EvFunc || fired != want.id):
+				t.Fatalf("pop ran kind %d closure %d, want closure %+v", kind, fired, want)
+			case !want.fn && (kind != EvDispatch+EventKind(want.id%2) || arg0 != want.id):
+				t.Fatalf("pop fired kind %d arg0 %d, want %+v", kind, arg0, want)
+			case e.Now() != want.when:
+				t.Fatalf("clock %d after pop, want %d", e.Now(), want.when)
+			}
+		}
+		for len(in) > 0 {
+			switch next() % fzOps {
+			case fzAtEvent:
+				push(next(), false)
+			case fzAt:
+				push(next(), true)
+			case fzStep:
+				pop()
+			case fzPeek:
+				when, ok := e.NextTime()
+				kind, arg0, _, pok := e.NextPeek()
+				if ok != (len(ref) > 0) || pok != ok {
+					t.Fatalf("NextTime ok=%v, NextPeek ok=%v with %d pending", ok, pok, len(ref))
+				}
+				if ok {
+					w := ref[0]
+					if when != w.when || (!w.fn && arg0 != w.id) || (w.fn && kind != EvFunc) {
+						t.Fatalf("peek (%d, kind %d, arg0 %d), want %+v", when, kind, arg0, w)
+					}
+				}
+			case fzRetime:
+				// A window commit: retime up to four distinct entries to
+				// fresh sequence numbers in (Seq(), Seq()+pops].
+				k := int(next()%4) + 1
+				seq0 := e.Seq()
+				seen := map[uint64]bool{}
+				n := 0
+				for j := 0; j < k; j++ {
+					i, delta := int(next()), Time(next())
+					if e.Pending() == 0 {
+						continue
+					}
+					i %= e.Pending()
+					pe := e.PendingAt(i)
+					if seen[pe.Seq] {
+						continue
+					}
+					n++
+					e.RetimePending(i, now+delta, seq0+uint64(n))
+					seen[seq0+uint64(n)] = true
+					for r := range ref {
+						if ref[r].seq == pe.Seq {
+							ref[r].when, ref[r].seq = now+delta, seq0+uint64(n)
+						}
+					}
+				}
+				sort.Slice(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
+				pops := uint64(n) + uint64(next()%3)
+				e.FinishWindow(pops)
+				seq += pops
+				steps += pops
+			case fzPurge:
+				mod := int32(next()%4) + 1
+				rem := int32(next()) % mod
+				got := e.PurgePending(func(pe PendingEvent) bool { return pe.Arg0%mod == rem })
+				kept := ref[:0]
+				for _, r := range ref {
+					if !r.fn && r.id%mod == rem {
+						continue
+					}
+					kept = append(kept, r)
+				}
+				if want := len(ref) - len(kept); got != want {
+					t.Fatalf("purge removed %d events, want %d", got, want)
+				}
+				ref = kept
+			case fzBurst:
+				for n := int(next()%32) + 1; n > 0; n-- {
+					push(byte((n*37)%97), false)
+				}
+			case fzReset:
+				e.Reset()
+				ref, now, seq, steps, heap = ref[:0], 0, 0, 0, false
+			}
+			if e.Pending() != len(ref) || e.Seq() != seq || e.Steps() != steps {
+				t.Fatalf("engine pending=%d seq=%d steps=%d, reference %d/%d/%d",
+					e.Pending(), e.Seq(), e.Steps(), len(ref), seq, steps)
+			}
+			// The heap is sticky: once the population passes linearMax
+			// the queue stays a heap until Reset.
+			heap = heap || len(ref) > linearMax
+			if e.linear == heap {
+				t.Fatalf("linear=%v with %d pending, heap expected=%v", e.linear, len(ref), heap)
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		if _, _, _, ok := e.StepPayload(); ok {
+			t.Fatal("engine fired an event the reference does not have")
+		}
+	})
 }
 
 func TestEngineTypedEventsInterleaveWithClosures(t *testing.T) {

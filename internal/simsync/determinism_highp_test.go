@@ -37,30 +37,30 @@ func TestDeterminismHighP(t *testing.T) {
 			for _, c := range cells {
 				name := fmt.Sprintf("%s/%s/%s/P%d", tp.Name(), c.family, c.algo, procs)
 				c := c
-				cfg := func(noWindows, noInline bool) machine.Config {
-					return machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline}
+				cfg := func(noWindows bool) machine.Config {
+					return machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows}
 				}
-				assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+				assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 					switch c.family {
 					case "lock":
 						info, _ := LockByName(c.algo)
-						res, err := RunLock(cfg(noWindows, noInline), info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
+						res, err := RunLock(cfg(noWindows), info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
 						return res.Stats, err
 					case "barrier":
 						info, _ := BarrierByName(c.algo)
-						res, err := RunBarrier(cfg(noWindows, noInline), info, BarrierOpts{Episodes: 3, Work: 120})
+						res, err := RunBarrier(cfg(noWindows), info, BarrierOpts{Episodes: 3, Work: 120})
 						return res.Stats, err
 					case "rw":
 						info, _ := RWLockByName(c.algo)
-						res, err := RunRW(cfg(noWindows, noInline), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
+						res, err := RunRW(cfg(noWindows), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
 						return res.Stats, err
 					case "sem":
 						info, _ := SemaphoreByName(c.algo)
-						res, err := RunProducerConsumer(cfg(noWindows, noInline), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
+						res, err := RunProducerConsumer(cfg(noWindows), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
 						return res.Stats, err
 					default:
 						info, _ := CounterByName(c.algo)
-						res, err := RunCounter(cfg(noWindows, noInline), info, CounterOpts{Incs: 4, Think: 20})
+						res, err := RunCounter(cfg(noWindows), info, CounterOpts{Incs: 4, Think: 20})
 						return res.Stats, err
 					}
 				})
@@ -88,28 +88,16 @@ func TestClusterMixedClassStorm(t *testing.T) {
 		t.Fatal("tas lock missing")
 	}
 	opts := LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true}
-	run := func(noWindows, noInline bool) LockResult {
+	run := func(noWindows bool) LockResult {
 		res, err := RunLock(machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 7,
-			NoSpinWindows: noWindows, NoInlineDispatch: noInline}, info, opts)
+			NoSpinWindows: noWindows}, info, opts)
 		if err != nil {
-			t.Fatalf("noWindows=%v noInline=%v: %v", noWindows, noInline, err)
+			t.Fatalf("noWindows=%v: %v", noWindows, err)
 		}
 		return res
 	}
-	on := run(false, false)
-	off := run(true, false)
-
-	// The continuation-dispatch A/B on the same pinned storm: handing
-	// every scripted op over the baton must not move a counter.
-	noInline := run(false, true)
-	if noInline.Stats.InlineDispatches != 0 {
-		t.Fatalf("NoInlineDispatch storm still dispatched %d ops inline", noInline.Stats.InlineDispatches)
-	}
-	onScrub := on
-	onScrub.Stats.InlineDispatches = 0
-	if !reflect.DeepEqual(onScrub, noInline) {
-		t.Errorf("inline dispatch changed the mixed-class storm:\n  inline:  %+v\n  handoff: %+v", onScrub, noInline)
-	}
+	on := run(false)
+	off := run(true)
 
 	if on.Stats.WindowOps == 0 {
 		t.Fatal("cluster storm batched no window ops: per-distance-class windows did not engage")

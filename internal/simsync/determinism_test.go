@@ -51,19 +51,14 @@ func forEachConfig(t *testing.T, fn func(tp topo.Topology, procs int)) {
 // cross-processor spin-window batching off and must match the enabled
 // runs on everything except WindowOps itself — event counts and
 // sequence-dependent interleavings included, since windowed pops are
-// charged to the same counters the per-event path uses. Two further
-// runs force inline continuation dispatch off (NoInlineDispatch), one
-// per window mode, and must match on everything except
-// InlineDispatches itself: executing scripted ops in the drive loop
-// instead of over baton handoffs may not move a single event, draw, or
-// counter.
-func assertIdentical(t *testing.T, name string, measure func(noWindows, noInline bool) (machine.Stats, error)) {
+// charged to the same counters the per-event path uses.
+func assertIdentical(t *testing.T, name string, measure func(noWindows bool) (machine.Stats, error)) {
 	t.Helper()
-	a, err := measure(false, false)
+	a, err := measure(false)
 	if err != nil {
 		t.Fatalf("%s: first run: %v", name, err)
 	}
-	b, err := measure(false, false)
+	b, err := measure(false)
 	if err != nil {
 		t.Fatalf("%s: second run: %v", name, err)
 	}
@@ -73,41 +68,16 @@ func assertIdentical(t *testing.T, name string, measure func(noWindows, noInline
 	if a.Cycles == 0 {
 		t.Errorf("%s: run did no simulated work", name)
 	}
-	c, err := measure(true, false)
+	c, err := measure(true)
 	if err != nil {
 		t.Fatalf("%s: windows-off run: %v", name, err)
 	}
 	if c.WindowOps != 0 {
 		t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.WindowOps)
 	}
-	aw := a
-	aw.WindowOps = 0
-	if !reflect.DeepEqual(aw, c) {
-		t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, aw, c)
-	}
-	d, err := measure(false, true)
-	if err != nil {
-		t.Fatalf("%s: no-inline run: %v", name, err)
-	}
-	if d.InlineDispatches != 0 {
-		t.Fatalf("%s: NoInlineDispatch run still dispatched %d continuation ops inline", name, d.InlineDispatches)
-	}
-	ai := a
-	ai.InlineDispatches = 0
-	if !reflect.DeepEqual(ai, d) {
-		t.Errorf("%s: inline dispatch changed results:\n  inline:  %+v\n  handoff: %+v", name, ai, d)
-	}
-	e, err := measure(true, true)
-	if err != nil {
-		t.Fatalf("%s: windows-off no-inline run: %v", name, err)
-	}
-	if e.WindowOps != 0 || e.InlineDispatches != 0 {
-		t.Fatalf("%s: fully-disabled run still batched (win=%d, inline=%d)", name, e.WindowOps, e.InlineDispatches)
-	}
-	ci := c
-	ci.InlineDispatches = 0
-	if !reflect.DeepEqual(ci, e) {
-		t.Errorf("%s: inline dispatch changed windows-off results:\n  inline:  %+v\n  handoff: %+v", name, ci, e)
+	a.WindowOps = 0
+	if !reflect.DeepEqual(a, c) {
+		t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, a, c)
 	}
 }
 
@@ -116,9 +86,9 @@ func TestDeterminismLocks(t *testing.T) {
 		for _, info := range Locks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunLock(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 				return res.Stats, err
 			})
@@ -131,9 +101,9 @@ func TestDeterminismBarriers(t *testing.T) {
 		for _, info := range Barriers() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunBarrier(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, err
 			})
@@ -146,9 +116,9 @@ func TestDeterminismRWLocks(t *testing.T) {
 		for _, info := range RWLocks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunRW(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
 			})
@@ -161,9 +131,9 @@ func TestDeterminismSemaphores(t *testing.T) {
 		for _, info := range Semaphores() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunProducerConsumer(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
 			})
@@ -176,9 +146,9 @@ func TestDeterminismCounters(t *testing.T) {
 		for _, info := range Counters() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunCounter(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
 			})
@@ -260,75 +230,49 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 	}
 }
 
-// TestPooledReuseAfterInlineRun pins the continuation-state hygiene of
-// Reset reuse (the inline-dispatch extension of the PR 7
-// Reset-after-abort suite): a machine that just executed scripted
-// continuations — including one whose scripts were cut off mid-run by a
-// processor crash — must, after Reset, replay any configuration
-// bit-identical to a fresh machine. The sequence alternates dispatch
-// modes on one reused machine so stale contState (a leftover active
-// script, pc, or accumulator) from either mode would surface in the
-// other's comparison.
-func TestPooledReuseAfterInlineRun(t *testing.T) {
+// TestPooledReuseAfterCrashedRun pins the hygiene of Reset reuse
+// after a fault-cut run (the crash extension of the Reset-after-abort
+// suite): a machine whose tas run lost a processor mid-critical-section
+// — leaving its spin state, watcher links, pending events and held
+// lock word behind — must, after a pooled Reset, replay a clean run
+// bit-identical to a fresh machine, and keep doing so run after run.
+func TestPooledReuseAfterCrashedRun(t *testing.T) {
 	info, ok := LockByName("tas")
 	if !ok {
 		t.Fatal("tas lock missing")
 	}
 	opts := LockOpts{Iters: 15, CS: 25, Think: 50, CheckMutex: true}
-	base := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 7}
-	noInlineCfg := base
-	noInlineCfg.NoInlineDispatch = true
-
-	freshInline, err := RunLock(base, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshHandoff, err := RunLock(noInlineCfg, info, opts)
+	cfg := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 7}
+	fresh, err := RunLock(cfg, info, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The crash lands inside the victim's critical section. tas has no
+	// bounded acquire, so the word it held wedges the survivors: the
+	// run ends at the step limit or in deadlock, never OK.
 	pool := new(machine.Pool)
-
-	// Run 1: a crash plan kills a processor mid-workload, abandoning
-	// whatever script it was executing. The Reset drawn for run 2 must
-	// scrub that residue.
-	plan := fault.NewPlan("pool/inline-crash").WithCrash(base.Procs-1, 700)
+	plan := fault.NewPlan("pool/crash-in-cs").WithCrash(cfg.Procs-1, 500)
 	fOpts := FaultLockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxSteps: 500_000}
-	crashed, err := RunLockFaulted(pool, base, info, plan, fOpts)
+	crashed, err := RunLockFaulted(pool, cfg, info, plan, fOpts)
 	if err != nil {
 		t.Fatalf("crashed run: %v", err)
 	}
 	if crashed.Crashed != 1 {
 		t.Fatalf("crash plan should kill one processor, got %d", crashed.Crashed)
 	}
-
-	// Run 2: clean inline run on the reused machine.
-	got, err := RunLockIn(pool, base, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshInline) {
-		t.Errorf("pooled inline run after crash diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshInline, got)
+	if crashed.Outcome == OutcomeOK {
+		t.Fatalf("crash should land while the victim holds the lock, but the survivors finished: %+v", crashed)
 	}
 
-	// Run 3: handoff mode on the same machine — stale continuation state
-	// from the inline runs would change what the baton path replays.
-	got, err = RunLockIn(pool, noInlineCfg, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshHandoff) {
-		t.Errorf("pooled handoff run after inline runs diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshHandoff, got)
-	}
-
-	// Run 4: back to inline, closing the mode round-trip.
-	got, err = RunLockIn(pool, base, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshInline) {
-		t.Errorf("pooled inline run after handoff run diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshInline, got)
+	for run := 1; run <= 2; run++ {
+		got, err := RunLockIn(pool, cfg, info, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("pooled run %d after the crash diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", run, fresh, got)
+		}
 	}
 }
 
@@ -378,18 +322,6 @@ func TestDeterminismMixedFamilyStorm(t *testing.T) {
 		off, err := RunLock(machine.Config{Procs: procs, Topo: tp, Seed: 13, NoSpinWindows: true}, info, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		noInline, err := RunLock(machine.Config{Procs: procs, Topo: tp, Seed: 13, NoInlineDispatch: true}, info, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if noInline.Stats.InlineDispatches != 0 {
-			t.Fatalf("%s: NoInlineDispatch run still dispatched %d ops inline", name, noInline.Stats.InlineDispatches)
-		}
-		onScrub := on
-		onScrub.Stats.InlineDispatches = 0
-		if !reflect.DeepEqual(onScrub, noInline) {
-			t.Errorf("%s: inline dispatch changed results:\n  inline:  %+v\n  handoff: %+v", name, onScrub, noInline)
 		}
 		on.Stats.WindowOps = 0
 		if !reflect.DeepEqual(on, off) {

@@ -93,11 +93,6 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 			t.Errorf("%s/%s/%s/P%d: %v", w.Family, w.Algo, w.Model, w.Procs, err)
 			continue
 		}
-		// InlineDispatches is host-side dispatch accounting (cont.go),
-		// not a simulation observable; the recording predates it. Its
-		// A/B invariance is pinned by the NoInlineDispatch suite.
-		got.Stats.InlineDispatches = 0
-		w.Stats.InlineDispatches = 0
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s/%s/%s/P%d diverged from the pre-batcher baseline:\n  want: %+v\n  got:  %+v",
 				w.Family, w.Algo, w.Model, w.Procs, w, got)

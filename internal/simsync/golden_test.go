@@ -209,12 +209,6 @@ func TestGoldenBusNUMAEquivalence(t *testing.T) {
 		// the observables themselves, so the counter is scrubbed.
 		got.Stats.WindowOps = 0
 		w.Stats.WindowOps = 0
-		// InlineDispatches likewise counts host-side continuation ops
-		// advanced in the drive loop (cont.go) — dispatch accounting,
-		// not a simulation observable; its A/B invariance is pinned by
-		// the NoInlineDispatch determinism suite.
-		got.Stats.InlineDispatches = 0
-		w.Stats.InlineDispatches = 0
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s/%s/%s/P%d diverged from the enum-era baseline:\n  want: %+v\n  got:  %+v",
 				w.Family, w.Algo, w.Model, w.Procs, w, got)

@@ -24,24 +24,6 @@ type Lock interface {
 	Release(p *machine.Proc)
 }
 
-// ScriptedRelease is implemented by locks whose Release is a single
-// plain store whose address and value are fixed from the moment the
-// lock is held. Workload runners use it to fold the critical section
-// and the release into one machine-driven continuation script
-// (machine.RunScript), eliminating the holder-side goroutine handoffs.
-//
-// ReleaseScript must be called exactly once per Acquire, by the holder,
-// and replaces the Release call for that acquisition. It may perform
-// the same host-side bookkeeping Release would (ticket/slot tracking);
-// calling it any earlier than Release is safe because only processors
-// *holding* the lock mutate that state, and the simulation is
-// single-threaded. Locks whose release performs simulated reads or
-// RMWs (qsync's successor handoff) cannot implement it.
-type ScriptedRelease interface {
-	Lock
-	ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word)
-}
-
 // LockMaker constructs a lock on a machine, allocating whatever
 // simulated memory the algorithm needs.
 type LockMaker func(m *machine.Machine) Lock
@@ -87,10 +69,6 @@ func (t *tasLock) Release(p *machine.Proc) {
 	p.Store(t.l, 0)
 }
 
-func (t *tasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
-}
-
 // ---------------------------------------------------------------------
 // test&test&set
 // ---------------------------------------------------------------------
@@ -123,10 +101,6 @@ func (t *ttasLock) Acquire(p *machine.Proc) {
 
 func (t *ttasLock) Release(p *machine.Proc) {
 	p.Store(t.l, 0)
-}
-
-func (t *ttasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
 }
 
 // ---------------------------------------------------------------------
@@ -186,10 +160,6 @@ func (t *backoffLock) Release(p *machine.Proc) {
 	p.Store(t.l, 0)
 }
 
-func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
-}
-
 // ---------------------------------------------------------------------
 // ticket lock
 // ---------------------------------------------------------------------
@@ -240,12 +210,6 @@ func (t *ticketLock) Release(p *machine.Proc) {
 	p.Store(t.serving, t.held+1)
 }
 
-func (t *ticketLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// t.held is stable for the whole critical section: the next holder
-	// records its ticket only after its spin sees our serving store.
-	return t.serving, t.held + 1
-}
-
 // ---------------------------------------------------------------------
 // Anderson array-queue lock (1990)
 // ---------------------------------------------------------------------
@@ -287,13 +251,6 @@ func (a *andersonLock) Acquire(p *machine.Proc) {
 func (a *andersonLock) Release(p *machine.Proc) {
 	next := (a.held + 1) % a.size
 	p.Store(a.slots+machine.Addr(next), 1)
-}
-
-func (a *andersonLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// a.held is stable for the whole critical section: the next holder
-	// records its ring index only after its slot spin sees our store.
-	next := (a.held + 1) % a.size
-	return a.slots + machine.Addr(next), 1
 }
 
 // ---------------------------------------------------------------------
@@ -352,16 +309,6 @@ func (g *gtLock) Release(p *machine.Proc) {
 	me := p.ID()
 	g.vals[me] ^= 1
 	p.Store(g.flags+machine.Addr(me), g.vals[me])
-}
-
-func (g *gtLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// Flipping the host-tracked flag value here (before the critical
-	// section) instead of at release time is safe: only processor me
-	// ever reads or writes vals[me], and the simulated flag word does
-	// not change until the scripted store issues.
-	me := p.ID()
-	g.vals[me] ^= 1
-	return g.flags + machine.Addr(me), g.vals[me]
 }
 
 // ---------------------------------------------------------------------

@@ -37,9 +37,9 @@ func TestRecoveryDeterminismLocks(t *testing.T) {
 		for _, info := range Locks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunLock(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 				return res.Stats, err
 			})
@@ -59,9 +59,9 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 				// fault-free runner's all-arrive check reads that as an
 				// early release. Assert its determinism contract through
 				// the crash-aware runner instead.
-				assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+				assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 					res, err := RunBarrierRecovery(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+						machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 						info.Name, func(m *machine.Machine) Barrier { return info.Make(m) },
 						plan, RecoveryBarrierOpts{Episodes: 10, Work: 150, MaxSteps: 2_000_000})
 					if err == nil && res.Outcome != OutcomeOK {
@@ -71,9 +71,9 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 				})
 				continue
 			}
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunBarrier(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, err
 			})
@@ -87,9 +87,9 @@ func TestRecoveryDeterminismRWLocks(t *testing.T) {
 		for _, info := range RWLocks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunRW(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
 			})
@@ -103,9 +103,9 @@ func TestRecoveryDeterminismSemaphores(t *testing.T) {
 		for _, info := range Semaphores() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunProducerConsumer(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
 			})
@@ -119,9 +119,9 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 		for _, info := range Counters() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunCounter(
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
 			})
@@ -148,40 +148,28 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 				info := mustLock(t, lk)
 				name := fmt.Sprintf("%s/%s/P%d/midrun", tp.Name(), lk, procs)
 				opts := RecoveryLockOpts{Iters: 8, CS: 25, Think: 50, Budget: 2048, MaxSteps: 500_000}
-				measure := func(noWindows, noInline bool) (RecoveryLockResult, error) {
+				measure := func(noWindows bool) (RecoveryLockResult, error) {
 					return RunLockRecovery(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows},
 						info, plan, opts)
 				}
-				a, err := measure(false, false)
+				a, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: first run: %v", name, err)
 				}
-				b, err := measure(false, false)
+				b, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: second run: %v", name, err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Errorf("%s: runs diverged:\n  first:  %+v\n  second: %+v", name, a, b)
 				}
-				c, err := measure(true, false)
+				c, err := measure(true)
 				if err != nil {
 					t.Fatalf("%s: windows-off run: %v", name, err)
 				}
 				if c.Stats.WindowOps != 0 {
 					t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.Stats.WindowOps)
-				}
-				d, err := measure(false, true)
-				if err != nil {
-					t.Fatalf("%s: no-inline run: %v", name, err)
-				}
-				if d.Stats.InlineDispatches != 0 {
-					t.Fatalf("%s: NoInlineDispatch run still dispatched %d ops inline", name, d.Stats.InlineDispatches)
-				}
-				ai := a
-				ai.Stats.InlineDispatches = 0
-				if !reflect.DeepEqual(ai, d) {
-					t.Errorf("%s: inline dispatch changed a mid-run crash:\n  inline:  %+v\n  handoff: %+v", name, ai, d)
 				}
 				a.Stats.WindowOps = 0
 				if !reflect.DeepEqual(a, c) {

@@ -77,52 +77,8 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	overlaps := 0
 	var records []grantRecord
 
-	// Locks whose release is a single plain store run the whole held
-	// section — counter load, CS delay, counter store, bookkeeping,
-	// release store, and (in fixed-iteration mode) the next think time —
-	// as one machine-driven continuation script: the holder's goroutine
-	// parks once per acquisition instead of once per operation that
-	// crosses a pending event. The script issues exactly the operations
-	// the plain body would, in the same order with the same RNG draws,
-	// so results are bit-identical (the golden and determinism suites
-	// pin this against the recorded pre-continuation numbers).
-	scripted, _ := lock.(ScriptedRelease)
-	bump := func(p *machine.Proc) {
-		acqPerProc[p.ID()]++
-		inCS--
-	}
-
 	body := func(p *machine.Proc) {
 		rng := p.RNG()
-		var ops []machine.ContOp
-		relIdx := -1
-		thinkTail := false
-		if scripted != nil {
-			// Scripts overlap across processors (the think tail runs
-			// after the release store, while the next holder's script is
-			// already active), so each processor carries its own slice.
-			ops = make([]machine.ContOp, 0, 6)
-			if opts.CheckMutex {
-				ops = append(ops, machine.ContOp{Kind: machine.ContLoad, Addr: counter})
-				if opts.CS > 0 {
-					ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
-				}
-				ops = append(ops, machine.ContOp{Kind: machine.ContStoreAcc, Addr: counter, Val: 1})
-			} else if opts.CS > 0 {
-				ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
-			}
-			ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: bump})
-			relIdx = len(ops)
-			ops = append(ops, machine.ContOp{Kind: machine.ContStore})
-			// The loop-top think of iteration it+1 folds into iteration
-			// it's script tail — the draw lands at the same position in
-			// this processor's RNG stream. Duration mode keeps the think
-			// at the loop top: its clock check must precede the draw.
-			if opts.Think > 0 && opts.Duration <= 0 {
-				ops = append(ops, machine.ContOp{Kind: machine.ContExpDelay, Dur: opts.Think})
-				thinkTail = true
-			}
-		}
 		for it := 0; ; it++ {
 			if opts.Duration > 0 {
 				if p.Now() >= opts.Duration {
@@ -131,7 +87,7 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			} else if it >= opts.Iters {
 				return
 			}
-			if opts.Think > 0 && (scripted == nil || opts.Duration > 0 || it == 0) {
+			if opts.Think > 0 {
 				p.Delay(rng.ExpTime(opts.Think))
 			}
 			enq := p.Now()
@@ -144,17 +100,6 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			}
 			if opts.RecordOrder {
 				records = append(records, grantRecord{enqueue: enq, grant: p.Now()})
-			}
-			if scripted != nil {
-				ops[relIdx].Addr, ops[relIdx].Val = scripted.ReleaseScript(p)
-				script := ops
-				if thinkTail && it+1 >= opts.Iters {
-					// The plain loop draws no think after its last
-					// release; drop the tail to match.
-					script = ops[:relIdx+1]
-				}
-				p.RunScript(script)
-				continue
 			}
 			if opts.CheckMutex {
 				v := p.Load(counter)
